@@ -9,6 +9,7 @@
 // fails if the steady-state simulator path ever allocates again.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
@@ -164,9 +165,13 @@ BENCHMARK(BM_TcpBulkTransfer);
 // arena, packet ring, segment-map free lists) is at its high-water mark.
 // From there to the end of the transfer the simulator must not touch the
 // heap at all; `steady_allocs` is asserted == 0 by the ctest smoke test.
+// `peak_queue_depth` is the event queue's high-water mark: one delivery and
+// one pump per link plus one carrier per timer, however many packets are in
+// flight.
 void BM_TcpSteadyStateAllocs(benchmark::State& state) {
   std::uint64_t allocs = 0;
   std::uint64_t segments = 0;
+  std::size_t peak_queue_depth = 0;
   for (auto _ : state) {
     sim::Network net(1);
     sim::Node* server = net.add_node("s");
@@ -193,9 +198,11 @@ void BM_TcpSteadyStateAllocs(benchmark::State& state) {
     allocs += probe.count();
     segments += source.stats().segments_sent + sink.stats().acks_sent -
                 segs_before;
+    peak_queue_depth = std::max(peak_queue_depth, net.sim().queue_peak());
     benchmark::DoNotOptimize(sink.bytes_received());
   }
   state.counters["steady_allocs"] = static_cast<double>(allocs);
+  state.counters["peak_queue_depth"] = static_cast<double>(peak_queue_depth);
   state.counters["steady_allocs_per_seg"] =
       segments > 0 ? static_cast<double>(allocs) / static_cast<double>(segments)
                    : 0.0;

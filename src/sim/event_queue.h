@@ -22,10 +22,10 @@ namespace ccsig::sim {
 class EventFn {
  public:
   /// Inline capture budget. The simulator's hot-path captures are an object
-  /// pointer plus at most a few scalars (`[this]`, `[this, gen]`); packets
-  /// in flight live in their link's pooled ring, not in closures. 48 bytes
-  /// leaves headroom for six words while keeping arena slots lean (72
-  /// bytes, nine per cache-line pair). Events move via memcpy, so the
+  /// pointer plus at most a few scalars (`[this]`, a timer carrier's five
+  /// words); packets in flight live in their link's pooled ring, not in
+  /// closures. 48 bytes leaves headroom for six words while keeping arena
+  /// slots lean (72 bytes, nine per cache-line pair). Events move via memcpy, so the
   /// inline path additionally requires the capture to be trivially
   /// copyable.
   static constexpr std::size_t kInlineBytes = 48;
@@ -95,7 +95,7 @@ class EventFn {
     // storage is a valid move; for heap callables it transfers the pointer.
     // Two constant-size tiers (which the compiler inlines, unlike a
     // variable-length copy): 16 bytes covers the common small captures —
-    // `[this]`, `[this, gen]`, heap pointers — and only wider captures pay
+    // `[this]`, `[this, x]`, heap pointers — and only wider captures pay
     // for the full buffer. Empty sources have nothing to copy
     // (uninitialized storage).
     if (other.invoke_) {
@@ -126,9 +126,27 @@ class EventFn {
   Storage storage_;
 };
 
+/// A position in the event order: time first, then the sequence number the
+/// key took when it was reserved. Sequence numbers are unique per queue, so
+/// two keys never compare equal unless they are the same key.
+struct EventKey {
+  Time time = 0;
+  std::uint64_t seq = 0;
+
+  friend bool operator<(const EventKey& a, const EventKey& b) {
+    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
+  }
+  friend bool operator==(const EventKey& a, const EventKey& b) {
+    return a.seq == b.seq && a.time == b.time;
+  }
+};
+
 /// Priority queue of timed callbacks. Events at equal times fire in the
-/// order they were scheduled (FIFO tie-break via a sequence number), which
-/// keeps runs reproducible.
+/// order their keys were reserved (FIFO tie-break via a sequence number),
+/// which keeps runs reproducible. `schedule()` reserves and queues in one
+/// step; `reserve()` + `schedule_reserved()` split the two, so a component
+/// can take its place in the order now and queue the callback later (or
+/// never) without any other event's key changing.
 ///
 /// Callbacks live in a slot arena (a recycled `std::vector<EventFn>`), not
 /// in the heap entries themselves: the hand-rolled binary heap reorders
@@ -143,6 +161,16 @@ class EventQueue {
 
   /// Schedules `cb` to fire at absolute time `t`.
   void schedule(Time t, Callback cb) {
+    schedule_reserved(reserve(t), std::move(cb));
+  }
+
+  /// Returns the key a `schedule(t, ...)` would take now, consuming its
+  /// sequence number.
+  EventKey reserve(Time t) { return EventKey{t, next_seq_++}; }
+
+  /// Queues `cb` under a key obtained from `reserve()`. Each key may be
+  /// queued at most once.
+  void schedule_reserved(EventKey key, Callback cb) {
     if (cb.uses_heap()) ++heap_fallbacks_;
     std::uint32_t slot;
     if (free_slots_.empty()) {
@@ -161,7 +189,7 @@ class EventQueue {
     }
     // The packed key orders by seq (slot bits only pad the low end; equal
     // times always differ in seq), preserving the FIFO tie-break exactly.
-    push_entry(Entry{t, (next_seq_++ << kSlotBits) | slot});
+    push_entry(Entry{key.time, (key.seq << kSlotBits) | slot});
   }
 
   bool empty() const { return heap_.empty(); }
@@ -180,8 +208,12 @@ class EventQueue {
     return cb;
   }
 
-  /// Total number of events ever scheduled (for micro-benchmarks/tests).
+  /// Total number of keys ever reserved, queued or not (for
+  /// micro-benchmarks/tests).
   std::uint64_t scheduled_count() const { return next_seq_; }
+
+  /// High-water mark of pending events.
+  std::size_t peak_size() const { return peak_size_; }
 
   /// Events whose callback did not fit the inline buffer and heap-allocated.
   /// Steady-state simulator traffic must keep this at zero.
@@ -209,6 +241,7 @@ class EventQueue {
   void push_entry(Entry e) {
     std::size_t i = heap_.size();
     heap_.push_back(e);
+    if (heap_.size() > peak_size_) peak_size_ = heap_.size();
     while (i > 0) {
       const std::size_t parent = (i - 1) >> 1;
       if (!before(e, heap_[parent])) break;
@@ -253,6 +286,7 @@ class EventQueue {
   std::vector<std::uint32_t> free_slots_;  // recycled arena slots
   std::uint64_t next_seq_ = 0;
   std::uint64_t heap_fallbacks_ = 0;
+  std::size_t peak_size_ = 0;
 };
 
 }  // namespace ccsig::sim

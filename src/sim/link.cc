@@ -116,19 +116,25 @@ void Link::deliver(Packet p) {
   LinkMetrics& m = link_metrics();
   m.packets_delivered.inc();
   m.bytes_delivered.add(p.wire_bytes());
-  // Deliveries are FIFO (due times are clamped monotone above, and the
-  // event queue breaks time ties in schedule order), so the packet waits in
-  // the link's pooled in-flight ring rather than riding inside the closure.
-  // The event then captures only `this` — a pointer-sized inline event —
-  // and per-packet delivery never allocates.
-  in_flight_.push(p);
-  sim_.schedule_at(due, [this] { deliver_due(); });
+  // Deliveries are FIFO (due times are clamped monotone above, and keys
+  // reserved later order later at equal times), so the packet and its
+  // reserved key wait in the link's pooled in-flight ring and only the
+  // front's delivery is queued: the event queue holds one delivery per
+  // link, not one per packet in flight. Each delivery still runs under the
+  // key it reserved here, so it keeps its place among other events.
+  const EventKey key = sim_.reserve_at(due);
+  const bool was_empty = in_flight_.empty();
+  in_flight_.push(InFlight{p, key});
+  if (was_empty) sim_.schedule_reserved(key, [this] { deliver_due(); });
 }
 
 void Link::deliver_due() {
   // Copy out before invoking the receiver: the callback can re-enter this
   // link (a routing loop) and grow the ring under a live reference.
-  const Packet p = in_flight_.pop();
+  const Packet p = in_flight_.pop().packet;
+  if (!in_flight_.empty()) {
+    sim_.schedule_reserved(in_flight_.front().due, [this] { deliver_due(); });
+  }
   if (receiver_) receiver_(p);
 }
 

@@ -56,6 +56,10 @@ class Link {
   Stats stats() const;
   const Config& config() const { return cfg_; }
 
+  /// Slot-pool size of the in-flight ring (tests assert it stops growing
+  /// in steady state).
+  std::size_t in_flight_capacity() const { return in_flight_.slot_capacity(); }
+
  private:
   void pump();  // tries to transmit the head-of-line packet
   // Accrues tokens up to max(burst, cap_floor); the floor guarantees the
@@ -65,14 +69,22 @@ class Link {
   // Applies propagation delay + jitter, FIFO. Takes the packet by value:
   // the argument is the queue's popped slot and Packet copies are memcpys.
   void deliver(Packet p);
-  // Fires when the oldest in-flight packet reaches the far end.
+  // Fires when the oldest in-flight packet reaches the far end, and queues
+  // the next packet's delivery.
   void deliver_due();
+
+  // A packet between departure and delivery, with the event key its
+  // delivery reserved on departure.
+  struct InFlight {
+    Packet packet;
+    EventKey due;
+  };
 
   Simulator& sim_;
   Config cfg_;
   Rng rng_;
   DropTailQueue queue_;
-  PacketRing in_flight_;  // packets between departure and delivery
+  Ring<InFlight> in_flight_;  // only the front's delivery is queued
   PacketHandler receiver_;
 
   double tokens_bytes_ = 0;    // current token-bucket fill

@@ -8,28 +8,30 @@
 
 namespace ccsig::sim {
 
-/// Unbounded FIFO of recycled `Packet` slots. Storage is a power-of-two
-/// ring that grows geometrically to the high-water mark and is never
-/// shrunk, so steady-state push/pop performs no allocation — packets are
-/// memcpy'd into and out of pooled slots.
-class PacketRing {
+/// Unbounded FIFO of recycled slots. Storage is a power-of-two ring that
+/// grows geometrically to the high-water mark and is never shrunk, so
+/// steady-state push/pop performs no allocation — elements (packets, or
+/// packets with their delivery keys) are copied into and out of pooled
+/// slots.
+template <typename T>
+class Ring {
  public:
   bool empty() const { return count_ == 0; }
   std::size_t size() const { return count_; }
 
-  const Packet& front() const { return slots_[head_]; }
+  const T& front() const { return slots_[head_]; }
 
-  void push(const Packet& p) {
+  void push(const T& v) {
     if (count_ == slots_.size()) grow();
-    slots_[(head_ + count_) & (slots_.size() - 1)] = p;
+    slots_[(head_ + count_) & (slots_.size() - 1)] = v;
     ++count_;
   }
 
-  Packet pop() {
-    Packet p = slots_[head_];
+  T pop() {
+    T v = slots_[head_];
     head_ = (head_ + 1) & (slots_.size() - 1);
     --count_;
-    return p;
+    return v;
   }
 
   /// Current slot-pool size (tests assert it stops growing in steady state).
@@ -39,7 +41,7 @@ class PacketRing {
   void grow() {
     // Double the ring and linearize the live span to the front. Power-of-two
     // sizes keep the index math a mask.
-    std::vector<Packet> next(slots_.empty() ? 16 : slots_.size() * 2);
+    std::vector<T> next(slots_.empty() ? 16 : slots_.size() * 2);
     for (std::size_t i = 0; i < count_; ++i) {
       next[i] = slots_[(head_ + i) & (slots_.size() - 1)];
     }
@@ -47,10 +49,12 @@ class PacketRing {
     head_ = 0;
   }
 
-  std::vector<Packet> slots_;  // power-of-two ring, grows to high-water mark
+  std::vector<T> slots_;  // power-of-two ring, grows to high-water mark
   std::size_t head_ = 0;
   std::size_t count_ = 0;
 };
+
+using PacketRing = Ring<Packet>;
 
 /// Byte-limited drop-tail queue. Capacity is expressed in bytes because the
 /// paper sizes buffers in milliseconds at the link rate and we convert.

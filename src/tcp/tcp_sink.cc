@@ -5,18 +5,15 @@
 namespace ccsig::tcp {
 
 TcpSink::TcpSink(sim::Simulator& sim, sim::Node* local, Config cfg)
-    : sim_(sim), local_(local), cfg_(std::move(cfg)),
-      life_(sim.lease_lifetime()) {
+    : sim_(sim),
+      local_(local),
+      cfg_(std::move(cfg)),
+      delayed_ack_timer_(sim, [this] { send_ack(); }) {
   local_->register_endpoint(cfg_.data_key.dst_port,
                             [this](const sim::Packet& p) { on_packet(p); });
 }
 
-TcpSink::~TcpSink() {
-  local_->unregister_endpoint(cfg_.data_key.dst_port);
-  // Invalidates the pending delayed-ACK closure: sinks of completed fetches
-  // are destroyed while the timer is still in flight.
-  sim_.release_lifetime(life_);
-}
+TcpSink::~TcpSink() { local_->unregister_endpoint(cfg_.data_key.dst_port); }
 
 void TcpSink::on_packet(const sim::Packet& p) {
   if (p.flags.syn) {
@@ -91,15 +88,14 @@ void TcpSink::on_data(const sim::Packet& p) {
   }
   if (++unacked_segments_ >= cfg_.segments_per_ack) {
     send_ack();
-  } else {
-    schedule_delayed_ack();
+  } else if (!delayed_ack_timer_.armed()) {
+    delayed_ack_timer_.arm_in(cfg_.delayed_ack_timeout);
   }
 }
 
 void TcpSink::send_ack() {
   unacked_segments_ = 0;
-  delayed_ack_pending_ = false;
-  ++delack_generation_;
+  delayed_ack_timer_.cancel();
   sim::Packet ack;
   ack.key = cfg_.data_key.reversed();
   ack.seq = 1;  // we send no data; our SYN-ACK consumed sequence 0
@@ -118,19 +114,6 @@ void TcpSink::send_ack() {
       std::min<std::uint64_t>(cfg_.rwnd_bytes, 0xFFFFFFFFu));
   local_->send(ack);
   ++stats_.acks_sent;
-}
-
-void TcpSink::schedule_delayed_ack() {
-  if (delayed_ack_pending_) return;
-  delayed_ack_pending_ = true;
-  const std::uint64_t gen = ++delack_generation_;
-  // The lease check must come before reading any member: the sink may have
-  // been destroyed (and its memory recycled) by the time the timer fires.
-  sim::Simulator* const sim = &sim_;
-  sim_.schedule_in(cfg_.delayed_ack_timeout, [this, sim, life = life_, gen] {
-    if (!sim->alive(life)) return;
-    if (delayed_ack_pending_ && gen == delack_generation_) send_ack();
-  });
 }
 
 }  // namespace ccsig::tcp

@@ -11,6 +11,7 @@
 #include "sim/node.h"
 #include "sim/packet.h"
 #include "sim/simulator.h"
+#include "sim/timer.h"
 #include "tcp/node_pool.h"
 #include "tcp/tcp_types.h"
 
@@ -57,13 +58,11 @@ class TcpSink {
   void on_packet(const sim::Packet& p);
   void on_data(const sim::Packet& p);
   void send_ack();
-  void schedule_delayed_ack();
 
   sim::Simulator& sim_;
   sim::Node* local_;
   Config cfg_;
-  // Guards the delayed-ACK closure against firing after destruction.
-  sim::Simulator::LifetimeLease life_;
+  sim::Timer delayed_ack_timer_;  // flushes a pending delayed ACK
 
   using OooMap = std::map<std::uint64_t, std::uint64_t>;
 
@@ -72,8 +71,6 @@ class TcpSink {
   MapNodePool<OooMap> ooo_pool_;  // recycles out-of-order map nodes
   int unacked_segments_ = 0;
   int quickack_sent_ = 0;
-  bool delayed_ack_pending_ = false;
-  std::uint64_t delack_generation_ = 0;
 
   Stats stats_;
 };

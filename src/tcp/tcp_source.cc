@@ -11,17 +11,14 @@ TcpSource::TcpSource(sim::Simulator& sim, sim::Node* local, Config cfg)
       cfg_(std::move(cfg)),
       cc_(congestion_control_by_name(cfg_.congestion_control)(cfg_.mss)),
       rto_(cfg_.rto),
-      life_(sim.lease_lifetime()) {
+      rto_timer_(sim, [this] { on_rto_fired(); }),
+      pace_timer_(sim, [this] { try_send(); }),
+      app_wakeup_timer_(sim, [this] { try_send(); }) {
   local_->register_endpoint(cfg_.key.src_port,
                             [this](const sim::Packet& p) { on_packet(p); });
 }
 
-TcpSource::~TcpSource() {
-  local_->unregister_endpoint(cfg_.key.src_port);
-  // Invalidates every pending timer closure that captured `this`: sources
-  // of completed fetches are destroyed while timers are still in flight.
-  sim_.release_lifetime(life_);
-}
+TcpSource::~TcpSource() { local_->unregister_endpoint(cfg_.key.src_port); }
 
 void TcpSource::start() {
   assert(state_ == State::kClosed);
@@ -65,19 +62,7 @@ void TcpSource::send_syn() {
   syn.payload_bytes = 0;
   syn.id = next_packet_id_++;
   local_->send(syn);
-  // SYN retransmission safety net. The closure checks the simulator-owned
-  // lease before touching `this`: the source may be gone by the time it
-  // fires, and even reading `state_` off freed memory would let a recycled
-  // allocation retransmit some other flow's SYN.
-  const std::uint64_t gen = ++rto_generation_;
-  sim::Simulator* const sim = &sim_;
-  sim_.schedule_in(rto_.rto(), [this, sim, life = life_, gen] {
-    if (!sim->alive(life)) return;
-    if (state_ == State::kSynSent && gen == rto_generation_) {
-      rto_.on_timeout();
-      send_syn();
-    }
-  });
+  rto_timer_.arm_in(rto_.rto());  // SYN retransmission safety net
 }
 
 std::uint64_t TcpSource::app_bytes_remaining() const {
@@ -176,31 +161,16 @@ void TcpSource::try_send() {
     if (remaining == 0) {
       note_limit(SendLimit::kApplication);
       // A rate-limited app will have more data shortly; wake up for it.
-      if (cfg_.app_rate_bps > 0 && app_open_ && !app_wakeup_scheduled_) {
-        app_wakeup_scheduled_ = true;
-        const auto dt = static_cast<sim::Duration>(
+      if (cfg_.app_rate_bps > 0 && app_open_ && !app_wakeup_timer_.armed()) {
+        app_wakeup_timer_.arm_in(static_cast<sim::Duration>(
             static_cast<double>(cfg_.mss) * 8.0 / cfg_.app_rate_bps *
-            static_cast<double>(sim::kSecond));
-        sim::Simulator* const sim = &sim_;
-        sim_.schedule_in(dt, [this, sim, life = life_] {
-          if (!sim->alive(life)) return;
-          app_wakeup_scheduled_ = false;
-          try_send();
-        });
+            static_cast<double>(sim::kSecond)));
       }
       return;
     }
     if (pace_bps > 0.0) {
       if (sim_.now() < next_pace_time_) {
-        if (!pace_scheduled_) {
-          pace_scheduled_ = true;
-          sim::Simulator* const sim = &sim_;
-          sim_.schedule_at(next_pace_time_, [this, sim, life = life_] {
-            if (!sim->alive(life)) return;
-            pace_scheduled_ = false;
-            try_send();
-          });
-        }
+        if (!pace_timer_.armed()) pace_timer_.arm_at(next_pace_time_);
         note_limit(SendLimit::kApplication);  // pacing idle
         return;
       }
@@ -253,21 +223,21 @@ void TcpSource::retransmit_head() {
 
 void TcpSource::arm_rto() {
   rto_armed_ = true;
-  const std::uint64_t gen = ++rto_generation_;
-  sim::Simulator* const sim = &sim_;
-  sim_.schedule_in(rto_.rto(), [this, sim, life = life_, gen] {
-    if (!sim->alive(life)) return;
-    on_rto_fired(gen);
-  });
+  rto_timer_.arm_in(rto_.rto());
 }
 
 void TcpSource::disarm_rto() {
   rto_armed_ = false;
-  ++rto_generation_;
+  rto_timer_.cancel();
 }
 
-void TcpSource::on_rto_fired(std::uint64_t generation) {
-  if (generation != rto_generation_ || state_ != State::kEstablished) return;
+void TcpSource::on_rto_fired() {
+  if (state_ == State::kSynSent) {  // SYN retransmission
+    rto_.on_timeout();
+    send_syn();
+    return;
+  }
+  if (state_ != State::kEstablished) return;
   if (snd_una_ >= snd_nxt_) {
     rto_armed_ = false;
     return;
@@ -334,8 +304,7 @@ void TcpSource::enter_recovery() {
   telemetry_record(obs::FlowEvent::kFastRetransmit);
   in_recovery_ = true;
   recover_seq_ = snd_nxt_;
-  disarm_rto();
-  arm_rto();
+  arm_rto();  // restarts the timer
   if (cfg_.use_sack) {
     recovery_send();
   } else {
@@ -409,8 +378,7 @@ void TcpSource::handle_new_ack(std::uint64_t ack) {
   if (flight_bytes() == 0) {
     disarm_rto();
   } else {
-    disarm_rto();
-    arm_rto();
+    arm_rto();  // restarts the timer
   }
 
   if (cfg_.bytes_to_send > 0 && stats_.bytes_acked >= cfg_.bytes_to_send &&

@@ -19,6 +19,7 @@
 #include "sim/node.h"
 #include "sim/packet.h"
 #include "sim/simulator.h"
+#include "sim/timer.h"
 #include "tcp/congestion_control.h"
 #include "tcp/rto.h"
 #include "tcp/scoreboard.h"
@@ -139,7 +140,7 @@ class TcpSource {
   void retransmit_head();
   void arm_rto();
   void disarm_rto();
-  void on_rto_fired(std::uint64_t generation);
+  void on_rto_fired();
   void note_limit(SendLimit limit);
   void telemetry_record(obs::FlowEvent event);
   std::uint64_t flight_bytes() const { return snd_nxt_ - snd_una_; }
@@ -151,8 +152,10 @@ class TcpSource {
   Config cfg_;
   std::unique_ptr<CongestionControl> cc_;
   RtoEstimator rto_;
-  // Guards timer closures against firing after this source is destroyed.
-  sim::Simulator::LifetimeLease life_;
+  // The SYN retransmission timer until established, the RTO after.
+  sim::Timer rto_timer_;
+  sim::Timer pace_timer_;        // pacing gate reopens
+  sim::Timer app_wakeup_timer_;  // a rate-limited app releases more data
 
   State state_ = State::kClosed;
   bool app_open_ = true;  // stop_sending() closes the application tap
@@ -168,7 +171,9 @@ class TcpSource {
   std::uint64_t recover_seq_ = 0;
   std::uint64_t recovery_inflation_ = 0;  // NewReno (non-SACK) mode only
 
-  std::uint64_t rto_generation_ = 0;
+  // Whether the RTO (not the SYN timer) is running. Unlike
+  // rto_timer_.armed() it stays set while the RTO handler retransmits, so
+  // emit_segment() leaves the re-arm to the handler.
   bool rto_armed_ = false;
   sim::Time syn_sent_at_ = 0;
   // Last data transmission, for the idle-restart check (RFC 2861); only
@@ -177,8 +182,6 @@ class TcpSource {
 
   // Pacing gate.
   sim::Time next_pace_time_ = 0;
-  bool pace_scheduled_ = false;
-  bool app_wakeup_scheduled_ = false;
   // Rate-release integration (supports mid-flow rate changes).
   double released_accum_bytes_ = 0;
   sim::Time released_stamp_ = -1;

@@ -152,11 +152,49 @@ TEST(TcpRefactorEquivalence, TransferGridMatchesGolden) {
 // modules), including the pretrained model's verdicts — this is the
 // "pretrained-model predictions byte-identical" acceptance criterion.
 
+void render_testbed_row(std::ostringstream& out,
+                        const testbed::TestbedConfig& cfg) {
+  const auto& clf = CongestionClassifier::pretrained();
+  const testbed::TestResult r = testbed::run_testbed_experiment(cfg);
+  out << "scenario="
+      << (cfg.scenario == testbed::Scenario::kExternal ? "external" : "self")
+      << " cc=" << cfg.congestion_control << " seed=" << cfg.seed
+      << " tput=" << r.receiver_throughput_bps
+      << " cap=" << r.access_capacity_bps
+      << " cross=" << r.cross_traffic_bytes
+      << " segs=" << r.web100.segments_sent
+      << " retx=" << r.web100.retransmits
+      << " fast=" << r.web100.fast_retransmits
+      << " rto=" << r.web100.timeouts
+      << " srtt=" << sim::to_seconds(r.web100.smoothed_rtt)
+      // The limit timers integrate up to the clock at the end of the run,
+      // so they pin where run_until leaves now().
+      << " cong_t=" << r.web100.time_congestion_limited
+      << " rwnd_t=" << r.web100.time_receiver_limited
+      << " app_t=" << r.web100.time_application_limited;
+  if (r.features) {
+    const auto v = clf.classify(*r.features);
+    out << " norm_diff=" << r.features->norm_diff
+        << " cov=" << r.features->cov
+        << " rtt_slope=" << r.features->rtt_slope
+        << " rtt_iqr=" << r.features->rtt_iqr
+        << " rtt_samples=" << r.features->rtt_samples
+        << " min_rtt_ms=" << r.features->min_rtt_ms
+        << " max_rtt_ms=" << r.features->max_rtt_ms
+        << " ss_tput=" << r.features->slow_start_throughput_bps
+        << " flow_tput=" << r.features->flow_throughput_bps
+        << " verdict=" << to_string(v.verdict)
+        << " confidence=" << v.confidence;
+  } else {
+    out << " features=unavailable";
+  }
+  out << "\n";
+}
+
 std::string render_testbed_results() {
   const char* ccs[] = {"reno", "cubic", "bbr"};
   const testbed::Scenario scenarios[] = {testbed::Scenario::kSelfInduced,
                                          testbed::Scenario::kExternal};
-  const auto& clf = CongestionClassifier::pretrained();
 
   std::ostringstream out;
   out.precision(17);
@@ -167,37 +205,22 @@ std::string render_testbed_results() {
       testbed::TestbedConfig cfg = testutil::quick_testbed_config(
           scenario, seed++);
       cfg.congestion_control = cc;
-      const testbed::TestResult r = testbed::run_testbed_experiment(cfg);
-      out << "scenario="
-          << (scenario == testbed::Scenario::kExternal ? "external" : "self")
-          << " cc=" << cc << " seed=" << seed - 1
-          << " tput=" << r.receiver_throughput_bps
-          << " cap=" << r.access_capacity_bps
-          << " cross=" << r.cross_traffic_bytes
-          << " segs=" << r.web100.segments_sent
-          << " retx=" << r.web100.retransmits
-          << " fast=" << r.web100.fast_retransmits
-          << " rto=" << r.web100.timeouts
-          << " srtt=" << sim::to_seconds(r.web100.smoothed_rtt);
-      if (r.features) {
-        const auto v = clf.classify(*r.features);
-        out << " norm_diff=" << r.features->norm_diff
-            << " cov=" << r.features->cov
-            << " rtt_slope=" << r.features->rtt_slope
-            << " rtt_iqr=" << r.features->rtt_iqr
-            << " rtt_samples=" << r.features->rtt_samples
-            << " min_rtt_ms=" << r.features->min_rtt_ms
-            << " max_rtt_ms=" << r.features->max_rtt_ms
-            << " ss_tput=" << r.features->slow_start_throughput_bps
-            << " flow_tput=" << r.features->flow_throughput_bps
-            << " verdict=" << to_string(v.verdict)
-            << " confidence=" << v.confidence;
-      } else {
-        out << " features=unavailable";
-      }
-      out << "\n";
+      render_testbed_row(out, cfg);
     }
   }
+  // A short external bbr_lite rep whose end-of-run clock is sensitive to
+  // every timer that is armed but never fires (the perfbench link10 grid's
+  // external/bbr_lite rep).
+  testbed::TestbedConfig cfg;
+  cfg.access_rate_mbps = 10;
+  cfg.access_latency_ms = 20;
+  cfg.access_loss = 0.0002;
+  cfg.access_buffer_ms = 50;
+  cfg.scenario = testbed::Scenario::kExternal;
+  cfg.congestion_control = "bbr_lite";
+  cfg.test_duration = sim::from_seconds(1.0);
+  cfg.seed = 8608505379183451283ull;
+  render_testbed_row(out, cfg);
   return out.str();
 }
 
