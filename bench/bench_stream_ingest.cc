@@ -9,7 +9,9 @@
 // start, and an ACK past the boundary), then the probe pushes records
 // through StreamEngine::push and counts heap allocations. The
 // `allocs_per_packet` counter is asserted == 0 by `tools/bench_micro.py
-// --smoke` (wired into ctest as bench_micro_smoke).
+// --smoke` (wired into ctest as bench_micro_smoke). Its counterpart,
+// BM_StreamIngestSlowStart, keeps a flow in slow start instead and bounds
+// the amortized allocations left there (COUNTER_BOUNDS in the same tool).
 // The same binary also carries the ingest *ladder*: whole-capture passes
 // over synthetic headers-only captures at 64 MB / 256 MB / 1 GB, once
 // through the PR 5 chunked-read record-at-a-time path and once through the
@@ -151,6 +153,57 @@ void BM_StreamIngestHotPath(benchmark::State& state) {
       static_cast<double>(allocs) / static_cast<double>(packets);
 }
 BENCHMARK(BM_StreamIngestHotPath);
+
+/// A flow that never leaves slow start: fresh segments with cumulative
+/// ACKs trailing four segments behind, no retransmission. Every data
+/// segment enters the RTT sampler's outstanding window and every ACK
+/// yields a sample and a cumulative-ACK advance, so what is left to
+/// allocate is the amortized growth of the sample vector and of the
+/// advance ledger (the trailing half of the slow-start window is kept
+/// until the flow ends). The window itself reuses its storage.
+void BM_StreamIngestSlowStart(benchmark::State& state) {
+  const FlowAnalyzer analyzer;
+  constexpr int kRecords = 100'000;
+  constexpr std::uint32_t kTrail = 4;  // segments in flight after an ACK
+  std::uint64_t allocs = 0;
+  std::uint64_t packets = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    stream::StreamConfig cfg;
+    cfg.jobs = 1;
+    auto engine = std::make_unique<stream::StreamEngine>(analyzer, cfg);
+    // Open the flow and fill the first flight outside the probe.
+    sim::Time t = 0;
+    std::uint32_t seq = 1;
+    for (std::uint32_t i = 0; i < kTrail; ++i) {
+      engine->push(data_rec(t, seq));
+      seq += 1448;
+      t += 100 * sim::kMicrosecond;
+    }
+    state.ResumeTiming();
+    {
+      const AllocProbe probe;
+      for (int i = 0; i < kRecords / 2; ++i) {
+        engine->push(data_rec(t, seq));
+        engine->push(
+            ack_rec(t + sim::kMicrosecond, seq - (kTrail - 1) * 1448));
+        seq += 1448;
+        t += 100 * sim::kMicrosecond;
+      }
+      allocs += probe.count();
+    }
+    packets += kRecords;
+    state.PauseTiming();
+    auto reports = engine->finish();
+    benchmark::DoNotOptimize(reports);
+    engine.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * kRecords);
+  state.counters["allocs_per_packet"] =
+      static_cast<double>(allocs) / static_cast<double>(packets);
+}
+BENCHMARK(BM_StreamIngestSlowStart);
 
 // ---------------------------------------------------------------------------
 // Ingest ladder: whole-capture passes over synthetic pcap files.

@@ -1,47 +1,19 @@
 #include "analysis/rtt_estimator.h"
 
-#include <algorithm>
 #include <limits>
 #include <vector>
 
+#include "analysis/outstanding_window.h"
+
 namespace ccsig::analysis {
-namespace {
-
-struct Outstanding {
-  std::uint64_t seq_end;
-  sim::Time sent_at;
-  bool tainted;  // retransmitted range: excluded per Karn's rule
-};
-
-}  // namespace
 
 std::vector<RttSample> extract_rtt_samples(const FlowTrace& flow,
                                            sim::Time cutoff) {
   // Merge the two directions into one time-ordered walk. Both vectors are
-  // individually time-sorted (capture order).
-  //
-  // Outstanding segments live in a flat vector kept sorted by seq_end with
-  // a head cursor instead of a std::map: data almost always arrives with
-  // strictly increasing seq_end (push_back), ACKs consume a prefix
-  // (advance `head`), and retransmissions — the only case needing a real
-  // ordered lookup — binary-search the live range. No per-segment node
-  // allocation, no rebalancing, and the hot paths are O(1) amortized.
+  // individually time-sorted (capture order); on equal timestamps data
+  // goes first.
   std::vector<RttSample> samples;
-  std::vector<Outstanding> pending;
-  pending.reserve(64);
-  std::size_t head = 0;            // first live entry
-  std::uint64_t highest_sent = 0;  // highest seq_end ever transmitted
-
-  const auto live_begin = [&] { return pending.begin() + head; };
-  const auto compact = [&] {
-    // Amortized cleanup of the consumed prefix so memory stays bounded by
-    // the flight size, not the flow length.
-    if (head >= 1024 && head * 2 >= pending.size()) {
-      pending.erase(pending.begin(), live_begin());
-      head = 0;
-    }
-  };
-
+  OutstandingWindow window;
   std::size_t di = 0, ai = 0;
   while (di < flow.data.size() || ai < flow.acks.size()) {
     const bool take_data =
@@ -50,48 +22,13 @@ std::vector<RttSample> extract_rtt_samples(const FlowTrace& flow,
     if (take_data) {
       const TraceRecord& d = flow.data[di++];
       if (d.payload_bytes == 0) continue;  // SYN / pure control
-      const std::uint64_t seq_end = d.seq + d.payload_bytes;
-      if (seq_end > highest_sent) {
-        // Fresh data: by definition the largest boundary seen, so it
-        // belongs at the back and is untainted.
-        pending.push_back(Outstanding{seq_end, d.time, false});
-        highest_sent = seq_end;
-        continue;
-      }
-      // Retransmitted range (seq_end <= highest_sent): tainted either way.
-      const auto it = std::lower_bound(
-          live_begin(), pending.end(), seq_end,
-          [](const Outstanding& o, std::uint64_t v) { return o.seq_end < v; });
-      if (it != pending.end() && it->seq_end == seq_end) {
-        // Same range sent again: taint and refresh timestamp.
-        it->tainted = true;
-        it->sent_at = d.time;
-      } else {
-        // A boundary below ones already outstanding (e.g. a partial
-        // retransmit after loss): rare, so the O(n) insert is fine.
-        pending.insert(it, Outstanding{seq_end, d.time, true});
-      }
+      window.on_send(d.seq + d.payload_bytes, d.time);
       continue;
     }
     const TraceRecord& a = flow.acks[ai++];
     if (!a.flags.ack || a.flags.syn) continue;
     if (a.time > cutoff) break;
-    // Find the newest covered segment; prefer the exact boundary match the
-    // ACK names, falling back to the highest boundary below it (delayed or
-    // cumulative ACKs).
-    const auto it = std::upper_bound(
-        live_begin(), pending.end(), a.ack,
-        [](std::uint64_t v, const Outstanding& o) { return v < o.seq_end; });
-    if (it == live_begin()) continue;  // duplicate ACK, nothing covered
-    const Outstanding& covered = *std::prev(it);
-    if (!covered.tainted) {
-      samples.push_back(
-          RttSample{a.time, a.time - covered.sent_at, covered.seq_end});
-    }
-    // Everything at or below the ACK is now accounted for: the prefix
-    // erase is just a cursor advance.
-    head = static_cast<std::size_t>(it - pending.begin());
-    compact();
+    if (const auto s = window.on_ack(a.ack, a.time)) samples.push_back(*s);
   }
   return samples;
 }

@@ -1,6 +1,5 @@
 #include "stream/flow_state.h"
 
-#include <algorithm>
 #include <limits>
 
 namespace ccsig::stream {
@@ -11,19 +10,11 @@ namespace ccsig::stream {
 
 void FlowState::Hypothesis::process_deferred(const DeferredAck& a) {
   // Mirrors the ACK arm of extract_rtt_samples' merged walk, one step.
-  if (!a.ack_flag || a.syn) return;
   if (ss_closed && a.time > ss_end) {
-    stopped = true;  // caller frees pending + remaining FIFO
+    stopped = true;  // caller frees the window + remaining FIFO
     return;
   }
-  auto it = pending.upper_bound(a.ack);
-  if (it == pending.begin()) return;
-  --it;
-  if (!it->second.tainted) {
-    samples.push_back(
-        analysis::RttSample{a.time, a.time - it->second.sent_at, it->first});
-  }
-  pending.erase(pending.begin(), std::next(it));
+  if (const auto s = window.on_ack(a.ack, a.time)) samples.push_back(*s);
 }
 
 void FlowState::Hypothesis::prune_advances(sim::Time bound_end,

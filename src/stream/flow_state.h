@@ -8,12 +8,15 @@
 //                         data direction is decided at finalize by payload
 //                         majority, so BOTH direction hypotheses run
 //                         incrementally (the losing one is nearly free: its
-//                         "data" records carry no payload, so its pending
-//                         map and sample vector stay empty).
+//                         "data" records carry no payload, so its
+//                         outstanding window and sample vector stay
+//                         empty).
 //   detect_slow_start  -> first-retransmission cutoff + cumulative-ACK
 //                         bookkeeping, updated per record.
-//   extract_rtt_samples-> the merged two-pointer walk over data[] and
-//                         acks[] is emulated exactly with a deferred-ACK
+//   extract_rtt_samples-> the same analysis::OutstandingWindow matches
+//                         ACKs to segments; the merged two-pointer walk
+//                         over data[] and acks[] that feeds it is
+//                         emulated exactly with a deferred-ACK
 //                         FIFO: ACKs queue on arrival and are flushed once
 //                         a record with a strictly later timestamp proves
 //                         no more data can tie with them (the batch walk
@@ -33,24 +36,30 @@
 // bucket ACKs differently (the batch feature extractor rejects those flows
 // as kNonMonotonicTimestamps anyway).
 //
-// Memory: O(in-flight segments + slow-start RTT samples) per flow. Once
-// the first slow-start period closes and the sampler passes its cutoff,
-// every per-record structure is freed and further records touch only
-// scalar counters — the bench_stream_ingest allocs_per_packet=0 bound.
+// Memory: O(in-flight segments + slow-start RTT samples) per flow. The
+// outstanding window holds at most max(2 * peak in-flight, 16) entries:
+// an ACK that drains it clears it in place, a consumed prefix of at least
+// 32 entries and half the vector is erased, and a full vector regrows from
+// its live entries only (analysis/outstanding_window.h). Once the first
+// slow-start period closes and the sampler passes its cutoff, every
+// per-record structure is freed and further records touch only scalar
+// counters — the bench_stream_ingest allocs_per_packet=0 bound.
 // The one exception is a flow that never retransmits: its slow-start
 // window extends to the end of the flow, whose midpoint is unknown until
 // then, so the cumulative-ACK advances of the trailing half must be kept
-// (16 bytes per advance; the LRU cap bounds the total).
+// (16 bytes per advance; the LRU cap bounds the total). Until its slow
+// start closes, a flow allocates only amortized growth of its sample
+// vector and advance ledger (BM_StreamIngestSlowStart bounds it).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <limits>
-#include <map>
 #include <optional>
 #include <vector>
 
+#include "analysis/outstanding_window.h"
 #include "analysis/rtt_estimator.h"
 #include "analysis/seq_unwrap.h"
 #include "analysis/slow_start.h"
@@ -112,16 +121,10 @@ class FlowState {
   FinalizedFlow finalize(const features::ExtractOptions& opt);
 
  private:
-  struct Outstanding {
-    sim::Time sent_at;
-    bool tainted;  // retransmitted range: excluded per Karn's rule
-  };
-
+  /// A queued ACK-flagged, non-SYN record (the walk ignores the others).
   struct DeferredAck {
     sim::Time time;
     std::uint64_t ack;
-    bool ack_flag;
-    bool syn;
   };
 
   /// One direction-assignment hypothesis: `data_dir` is the data side.
@@ -129,8 +132,7 @@ class FlowState {
     int data_dir = 0;
 
     // RTT sampler (exact emulation of extract_rtt_samples' merged walk).
-    std::map<std::uint64_t, Outstanding> pending;  // seq_end -> info
-    std::uint64_t highest_sent = 0;
+    analysis::OutstandingWindow window;
     std::vector<analysis::RttSample> samples;
     // Deferred-ACK FIFO as vector + head cursor: once drained it resets to
     // reuse its capacity, so the steady state allocates nothing.
@@ -205,16 +207,21 @@ class FlowState {
 
 inline void FlowState::Hypothesis::flush_before(sim::Time t) {
   while (fifo_head < fifo.size() && fifo[fifo_head].time < t) {
-    process_deferred(fifo[fifo_head]);
-    ++fifo_head;
-    if (stopped) {
-      // The batch walk's `break`: everything still queued is discarded and
-      // nothing is retained for later records.
-      std::vector<DeferredAck>().swap(fifo);
-      fifo_head = 0;
-      pending.clear();
-      return;
+    // With nothing outstanding and slow start still open, an ACK can
+    // neither sample nor stop the sampler: skip it without the call. This
+    // is every ACK of the payload-less hypothesis.
+    if (ss_closed || !window.empty()) {
+      process_deferred(fifo[fifo_head]);
+      if (stopped) {
+        // The batch walk's `break`: everything still queued is discarded
+        // and nothing is retained for later records.
+        std::vector<DeferredAck>().swap(fifo);
+        fifo_head = 0;
+        window.release();
+        return;
+      }
     }
+    ++fifo_head;
   }
   if (fifo_head == fifo.size()) {
     fifo.clear();  // keeps capacity: the steady state re-queues for free
@@ -227,17 +234,7 @@ inline void FlowState::Hypothesis::on_data(const analysis::TraceRecord& r) {
   flush_before(r.time);
   if (stopped) return;  // a flushed ACK hit the cutoff; batch skips the rest
   if (r.payload_bytes == 0) return;
-  const std::uint64_t seq_end = r.seq + r.payload_bytes;
-  const bool is_retx = seq_end <= highest_sent;
-  auto [it, inserted] = pending.emplace(seq_end, Outstanding{r.time, is_retx});
-  if (!inserted) {
-    // Same range sent again: taint it and refresh the send time.
-    it->second.tainted = true;
-    it->second.sent_at = r.time;
-  } else if (is_retx) {
-    it->second.tainted = true;
-  }
-  highest_sent = std::max(highest_sent, seq_end);
+  const bool is_retx = window.on_send(r.seq + r.payload_bytes, r.time);
   if (is_retx && !ss_closed) {
     ss_closed = true;
     ss_end = r.time;
@@ -267,7 +264,7 @@ inline void FlowState::Hypothesis::on_ack(const analysis::TraceRecord& r,
   flush_before(r.time);
   if (stopped) return;
   if (!r.flags.ack || r.flags.syn) return;  // the walk ignores these anyway
-  fifo.push_back(DeferredAck{r.time, r.ack, r.flags.ack, r.flags.syn});
+  fifo.push_back(DeferredAck{r.time, r.ack});
 }
 
 inline sim::Time FlowState::start_time() const {

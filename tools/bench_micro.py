@@ -57,6 +57,12 @@ COUNTER_BOUNDS = {
     # Streaming ingest (bench_stream_ingest): a quiescent flow's records
     # must touch only scalars — a hard zero, no amortization allowance.
     "BM_StreamIngestHotPath": {"allocs_per_packet": 0.0},
+    # A flow still in slow start: the RTT sampler's outstanding window
+    # reuses its storage, so what remains is the advance ledger's deque
+    # blocks (one per 32 advances) and log-many sample-vector growths —
+    # 0.0159 measured, bounded with a 25 % margin. The node-based window
+    # this replaced read 0.516 (one map node per data segment).
+    "BM_StreamIngestSlowStart": {"allocs_per_packet": 0.02},
     # Ingest ladder, smallest rung. Checked by --ladder-smoke (its own
     # ctest, bench_ingest_ladder_smoke), not by --smoke: the ladder lazily
     # writes a 64 MB synthetic capture the plain smoke shouldn't pay for.
