@@ -20,6 +20,8 @@
 // allocs_per_packet over a warm engine, which `tools/bench_micro.py
 // --ladder-smoke` (ctest: bench_ingest_ladder_smoke, label `perf`) holds
 // to a hard packets/s floor and a hard zero on the mmap rung.
+// BM_BatchIngest runs the batch oracle (FlowAnalyzer::analyze_pcap_checked)
+// over a multi-flow capture and bounds its allocations per record.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -30,6 +32,8 @@
 #include <new>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "analysis/from_pcap.h"
 #include "analysis/seq_unwrap.h"
@@ -415,6 +419,79 @@ void BM_IngestMmapBatched(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestMmapBatched)
     ->Arg(64)->Arg(256)->Arg(1024)->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------------
+// Batch ingest: a whole multi-flow capture through analyze_pcap_checked.
+// ---------------------------------------------------------------------------
+
+/// Writes a multi-flow capture for the batch path: kBatchFlows flows, each
+/// opened with the slow-start-closing sequence ladder_capture uses, then
+/// congestion-window bursts round-robin across the flows until each flow
+/// holds about kBatchRecordsPerFlow records (as many as a perfbench link20
+/// corpus flow). Returns the number of records written.
+constexpr std::size_t kBatchFlows = 32;
+constexpr std::size_t kBatchRecordsPerFlow = 1536;
+
+std::uint64_t write_batch_capture(const std::string& path) {
+  pcap::PcapWriter out(path, pcap::kFrameHeaderBytes);
+  sim::Time t = 0;
+  const auto tick = [&t] { return t += sim::kMicrosecond; };
+  for (std::size_t f = 0; f < kBatchFlows; ++f) {
+    const sim::FlowKey key = ladder_key(f);
+    write_frame(out, tick(), data_pkt(key, 1));
+    write_frame(out, tick(), data_pkt(key, 1449));
+    write_frame(out, tick(), ack_pkt(key, 1449));
+    write_frame(out, tick(), data_pkt(key, 1));  // retx closes slow start
+    write_frame(out, tick(), ack_pkt(key, 2897));
+    write_frame(out, tick(), data_pkt(key, 2897));
+  }
+  std::vector<std::uint64_t> seq(kBatchFlows, 4345);
+  for (std::size_t turn = 6; turn < kBatchRecordsPerFlow; turn += 12) {
+    for (std::size_t f = 0; f < kBatchFlows; ++f) {
+      const sim::FlowKey key = ladder_key(f);
+      for (int i = 0; i < 8; ++i) {
+        write_frame(out, tick(), data_pkt(key, seq[f] + i * 1448));
+      }
+      for (int i = 1; i <= 4; ++i) {
+        write_frame(out, tick(), ack_pkt(key, seq[f] + i * 2 * 1448));
+      }
+      seq[f] += 8 * 1448;
+    }
+  }
+  out.flush();
+  return out.records_written();
+}
+
+/// The batch oracle's whole pass (decode, split, analyze every flow) on a
+/// multi-flow capture. `allocs_per_record` counts every heap allocation of
+/// the call, reports included; tools/bench_micro.py bounds it, so a copy
+/// of each record's raw bytes (one allocation per record) cannot return.
+void BM_BatchIngest(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const std::string path =
+      (fs::temp_directory_path() /
+       ("ccsig_batch_ingest_" + std::to_string(::getpid()) + ".pcap"))
+          .string();
+  const std::uint64_t records = write_batch_capture(path);
+  const FlowAnalyzer analyzer;
+  std::uint64_t allocs = 0, processed = 0;
+  for (auto _ : state) {
+    const AllocProbe probe;
+    PcapAnalysis analysis = analyzer.analyze_pcap_checked(path);
+    allocs += probe.count();
+    processed += records;
+    if (!analysis.ok() || analysis.reports.size() != kBatchFlows) {
+      state.SkipWithError("batch capture did not analyze cleanly");
+      break;
+    }
+    benchmark::DoNotOptimize(analysis);
+  }
+  fs::remove(path);
+  state.SetItemsProcessed(static_cast<std::int64_t>(processed));
+  state.counters["allocs_per_record"] =
+      static_cast<double>(allocs) / static_cast<double>(processed);
+}
+BENCHMARK(BM_BatchIngest)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

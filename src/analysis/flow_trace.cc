@@ -1,7 +1,6 @@
 #include "analysis/flow_trace.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace ccsig::analysis {
 
@@ -26,44 +25,20 @@ sim::Time FlowTrace::end_time() const {
   return t;
 }
 
-std::vector<FlowTrace> split_flows(const Trace& trace) {
-  struct Halves {
-    std::vector<TraceRecord> forward;   // canonical-key direction
-    std::vector<TraceRecord> backward;
-    std::uint64_t fwd_payload = 0;
-    std::uint64_t bwd_payload = 0;
-    sim::FlowKey canonical;
-  };
-  std::unordered_map<sim::FlowKey, Halves, sim::FlowKeyHash> flows;
-  for (const auto& r : trace) {
-    const sim::FlowKey canon = canonical_flow_key(r.key);
-    Halves& h = flows[canon];
-    h.canonical = canon;
-    if (r.key == canon) {
-      h.forward.push_back(r);
-      h.fwd_payload += r.payload_bytes;
-    } else {
-      h.backward.push_back(r);
-      h.bwd_payload += r.payload_bytes;
-    }
-  }
-
+std::vector<FlowTrace> FlowSplitter::finish() {
+  append_staged();
   std::vector<FlowTrace> out;
-  out.reserve(flows.size());
-  for (auto& [key, h] : flows) {
-    if (h.fwd_payload == 0 && h.bwd_payload == 0) continue;
+  out.reserve(flows_.size());
+  for (auto& [canonical, h] : flows_) {
+    if (h.forward.payload == 0 && h.backward.payload == 0) continue;
+    const bool forward_data = h.forward.payload >= h.backward.payload;
     FlowTrace ft;
-    if (h.fwd_payload >= h.bwd_payload) {
-      ft.data_key = h.canonical;
-      ft.data = std::move(h.forward);
-      ft.acks = std::move(h.backward);
-    } else {
-      ft.data_key = h.canonical.reversed();
-      ft.data = std::move(h.backward);
-      ft.acks = std::move(h.forward);
-    }
+    ft.data_key = forward_data ? canonical : canonical.reversed();
+    ft.data = std::move(forward_data ? h.forward : h.backward).records;
+    ft.acks = std::move(forward_data ? h.backward : h.forward).records;
     out.push_back(std::move(ft));
   }
+  flows_.clear();
   // Deterministic order: by first activity, key tie-break (equal start
   // times would otherwise surface unordered_map iteration order).
   std::sort(out.begin(), out.end(), [](const FlowTrace& a, const FlowTrace& b) {
@@ -71,6 +46,12 @@ std::vector<FlowTrace> split_flows(const Trace& trace) {
                            b.data_key);
   });
   return out;
+}
+
+std::vector<FlowTrace> split_flows(const Trace& trace) {
+  FlowSplitter splitter;
+  for (const auto& r : trace) splitter.add(r);
+  return splitter.finish();
 }
 
 FlowTrace extract_flow(const Trace& trace, const sim::FlowKey& data_key) {

@@ -2,7 +2,7 @@
 
 #include <unordered_map>
 
-#include "pcap/headers.h"
+#include "pcap/cursor.h"
 
 namespace ccsig::analysis {
 
@@ -24,15 +24,21 @@ Trace trace_from_records(const std::vector<pcap::PcapRecord>& records) {
   return out;
 }
 
-Trace trace_from_pcap(const std::string& path) {
-  return trace_from_records(pcap::read_all(path));
-}
-
-TraceReadResult trace_from_pcap_checked(const std::string& path) {
-  pcap::PcapReadResult raw = pcap::read_all_checked(path);
-  TraceReadResult out;
-  out.trace = trace_from_records(raw.records);
-  out.error = std::move(raw.error);
+FlowsReadResult flows_from_pcap_checked(const std::string& path) {
+  FlowSplitter splitter;
+  FlowsReadResult out;
+  try {
+    // Buffered, not mapped: mapped file pages would count toward peak RSS.
+    pcap::PcapCursor cursor(path, pcap::CursorMode::kStream);
+    while (const auto rec = cursor.next()) {
+      if (const auto w = wire_record_from_frame(rec->timestamp, rec->data)) {
+        splitter.add(*w);
+      }
+    }
+  } catch (const runtime::ParseException& e) {
+    out.error = e.error();
+  }
+  out.flows = splitter.finish();
   return out;
 }
 

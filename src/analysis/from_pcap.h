@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/flow_trace.h"
 #include "analysis/seq_unwrap.h"
 #include "analysis/trace_record.h"
 #include "pcap/headers.h"
@@ -43,18 +44,19 @@ inline std::optional<WireRecord> wire_record_from_frame(
 /// Non-TCP/IPv4 records are skipped.
 Trace trace_from_records(const std::vector<pcap::PcapRecord>& records);
 
-/// Convenience: read + decode a pcap file. Throws runtime::ParseException
-/// (with file/offset/reason) on malformed input.
-Trace trace_from_pcap(const std::string& path);
-
-/// Non-throwing bridge for damaged captures: decodes the longest clean
-/// record prefix and reports the structured error that stopped reading.
-struct TraceReadResult {
-  Trace trace;
+/// A capture decoded straight into flows: the longest clean record prefix
+/// of a (possibly damaged) file, plus the structured error that stopped
+/// reading, if any.
+struct FlowsReadResult {
+  std::vector<FlowTrace> flows;
   std::optional<runtime::ParseError> error;
   bool ok() const { return !error.has_value(); }
 };
 
-TraceReadResult trace_from_pcap_checked(const std::string& path);
+/// Single-pass batch ingest: PcapCursor (buffered backend) →
+/// wire_record_from_frame → FlowSplitter. The flows equal
+/// split_flows(trace_from_records(read_all_checked(path).records)), but no
+/// record is held twice and no raw frame bytes are kept.
+FlowsReadResult flows_from_pcap_checked(const std::string& path);
 
 }  // namespace ccsig::analysis

@@ -38,8 +38,15 @@ FlowReport FlowAnalyzer::analyze_flow(const analysis::FlowTrace& flow,
 
 std::vector<FlowReport> FlowAnalyzer::analyze(
     const analysis::Trace& trace, const features::ExtractOptions& opt) const {
+  return analyze_flows(analysis::split_flows(trace), opt);
+}
+
+std::vector<FlowReport> FlowAnalyzer::analyze_flows(
+    const std::vector<analysis::FlowTrace>& flows,
+    const features::ExtractOptions& opt) const {
   std::vector<FlowReport> reports;
-  for (const analysis::FlowTrace& flow : analysis::split_flows(trace)) {
+  reports.reserve(flows.size());
+  for (const analysis::FlowTrace& flow : flows) {
     reports.push_back(analyze_flow(flow, opt));
   }
   return reports;
@@ -47,14 +54,16 @@ std::vector<FlowReport> FlowAnalyzer::analyze(
 
 std::vector<FlowReport> FlowAnalyzer::analyze_pcap(
     const std::string& path, const features::ExtractOptions& opt) const {
-  return analyze(analysis::trace_from_pcap(path), opt);
+  PcapAnalysis out = analyze_pcap_checked(path, opt);
+  if (out.error) throw runtime::ParseException(std::move(*out.error));
+  return std::move(out.reports);
 }
 
 PcapAnalysis FlowAnalyzer::analyze_pcap_checked(
     const std::string& path, const features::ExtractOptions& opt) const {
-  analysis::TraceReadResult raw = analysis::trace_from_pcap_checked(path);
+  analysis::FlowsReadResult raw = analysis::flows_from_pcap_checked(path);
   PcapAnalysis out;
-  out.reports = analyze(raw.trace, opt);
+  out.reports = analyze_flows(raw.flows, opt);
   out.error = std::move(raw.error);
   return out;
 }

@@ -73,12 +73,14 @@ class FlowAnalyzer {
                                  std::size_t data_packets) const;
 
   /// Reads a tcpdump-format capture and analyzes it. Malformed input
-  /// raises runtime::ParseException (file, byte offset, reason).
+  /// raises runtime::ParseException (file, byte offset, reason): the
+  /// checked call below, with its error rethrown.
   std::vector<FlowReport> analyze_pcap(const std::string& path,
                                        const features::ExtractOptions& opt = {}) const;
 
   /// Non-throwing variant for damaged captures: analyzes the longest clean
-  /// record prefix and reports the error that stopped reading.
+  /// record prefix and reports the error that stopped reading. Decodes the
+  /// capture in one pass (analysis::flows_from_pcap_checked).
   PcapAnalysis analyze_pcap_checked(const std::string& path,
                                     const features::ExtractOptions& opt = {}) const;
 
@@ -88,6 +90,11 @@ class FlowAnalyzer {
   static std::string render(const FlowReport& report);
 
  private:
+  /// analyze_flow over already-split flows, in order.
+  std::vector<FlowReport> analyze_flows(
+      const std::vector<analysis::FlowTrace>& flows,
+      const features::ExtractOptions& opt) const;
+
   CongestionClassifier classifier_;
 };
 

@@ -16,26 +16,6 @@
 namespace ccsig::pcap {
 namespace {
 
-// Mirrors the (packed, little-endian) on-disk structs in pcap_file.cc.
-struct FileHeader {
-  std::uint32_t magic;
-  std::uint16_t version_major;
-  std::uint16_t version_minor;
-  std::int32_t thiszone;
-  std::uint32_t sigfigs;
-  std::uint32_t snaplen;
-  std::uint32_t linktype;
-};
-static_assert(sizeof(FileHeader) == 24);
-
-struct RecordHeader {
-  std::uint32_t ts_sec;
-  std::uint32_t ts_usec;
-  std::uint32_t incl_len;
-  std::uint32_t orig_len;
-};
-static_assert(sizeof(RecordHeader) == 16);
-
 constexpr std::size_t kChunkBytes = 256 * 1024;
 
 }  // namespace
@@ -193,9 +173,9 @@ std::optional<RecordView> PcapCursor::next() {
       incomplete_tail_ = true;
       return std::nullopt;
     }
-    // The legacy path consumed the record header before discovering the
-    // body truncation; consume it here too so the reported offset (and the
-    // "got" count) stay byte-identical for damaged non-tail captures.
+    // A truncated body is reported just past its record header (the
+    // offset tests/goldens/pcap_errors.txt pins), so consume the header
+    // first.
     pos_ += sizeof(rec);
     offset_ += sizeof(rec);
     fail("truncated record body (need " + std::to_string(rec.incl_len) +

@@ -1,8 +1,6 @@
-// Zero-copy pcap record cursor with two input backends.
-//
-// PcapReader materializes every record into its own heap vector, which is
-// fine for batch analysis but defeats a single-pass streaming engine. The
-// cursor instead hands out spans into a window of the file:
+// Zero-copy pcap record cursor with two input backends: the project's one
+// pcap reader. It hands out spans into a window of the file instead of a
+// heap copy per record:
 //
 //   kStream — refills one reusable buffer with large sequential reads:
 //             no per-record allocation, O(buffer) memory regardless of
@@ -17,8 +15,8 @@
 // representation — only the refill step differs — so a damaged capture
 // stops at the same byte offset with the same ParseException reason no
 // matter the backend (the property ingest_corpus_test's mmap/stream
-// differential pins down). Error semantics are in turn contractually
-// identical to PcapReader.
+// differential pins down). That error contract (offset and reason for
+// every failure mode) is pinned by tests/goldens/pcap_errors.txt.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +48,8 @@ enum class CursorMode {
 class PcapCursor {
  public:
   /// Opens and validates the file header. Throws runtime::ParseException
-  /// with the same reasons/offsets as PcapReader.
+  /// (file, byte offset, reason) when the file is missing or the header is
+  /// truncated or has a bad magic.
   ///
   /// `tail` opts into tail-past-EOF reading for a capture that is still
   /// being written (ccsigd's growing-file sources): a record whose final

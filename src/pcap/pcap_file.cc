@@ -1,34 +1,11 @@
 #include "pcap/pcap_file.h"
 
-#include <cstring>
+#include <algorithm>
 #include <stdexcept>
 
+#include "pcap/cursor.h"
+
 namespace ccsig::pcap {
-namespace {
-
-// On-disk structures are little-endian; x86-64 is little-endian, so plain
-// memcpy of packed fields is byte-exact. (A big-endian port would need
-// byte swapping here and nowhere else.)
-struct FileHeader {
-  std::uint32_t magic;
-  std::uint16_t version_major;
-  std::uint16_t version_minor;
-  std::int32_t thiszone;
-  std::uint32_t sigfigs;
-  std::uint32_t snaplen;
-  std::uint32_t linktype;
-};
-static_assert(sizeof(FileHeader) == 24);
-
-struct RecordHeader {
-  std::uint32_t ts_sec;
-  std::uint32_t ts_usec;
-  std::uint32_t incl_len;
-  std::uint32_t orig_len;
-};
-static_assert(sizeof(RecordHeader) == 16);
-
-}  // namespace
 
 PcapWriter::PcapWriter(const std::string& path, std::uint32_t snaplen)
     : out_(path, std::ios::binary | std::ios::trunc), snaplen_(snaplen) {
@@ -53,68 +30,21 @@ void PcapWriter::write(sim::Time timestamp,
   ++records_;
 }
 
-void PcapReader::fail(std::string reason) const {
-  runtime::throw_parse_error(path_, offset_, "byte", std::move(reason));
-}
-
-PcapReader::PcapReader(const std::string& path)
-    : path_(path), in_(path, std::ios::binary) {
-  if (!in_) fail("cannot open pcap for reading");
-  FileHeader hdr;
-  in_.read(reinterpret_cast<char*>(&hdr), sizeof(hdr));
-  if (!in_) {
-    fail("truncated file header (need " + std::to_string(sizeof(hdr)) +
-         " bytes, got " + std::to_string(in_.gcount()) + ")");
-  }
-  if (hdr.magic != kPcapMagic) {
-    fail("not a (little-endian, µs) pcap file: bad magic");
-  }
-  snaplen_ = hdr.snaplen;
-  linktype_ = hdr.linktype;
-  offset_ = sizeof(hdr);
-}
-
-std::optional<PcapRecord> PcapReader::next() {
-  RecordHeader rec;
-  in_.read(reinterpret_cast<char*>(&rec), sizeof(rec));
-  if (!in_) {
-    if (in_.gcount() == 0) return std::nullopt;  // clean end of file
-    fail("truncated record header (need " + std::to_string(sizeof(rec)) +
-         " bytes, got " + std::to_string(in_.gcount()) + ")");
-  }
-  // A snaplen-exceeding capture length cannot have been written by any
-  // sane writer; treat it as corruption rather than allocating blindly.
-  if (rec.incl_len > snaplen_ + 65536u) {
-    fail("corrupt record header: incl_len " + std::to_string(rec.incl_len) +
-         " exceeds snaplen " + std::to_string(snaplen_));
-  }
-  offset_ += sizeof(rec);
-  PcapRecord out;
-  out.timestamp = static_cast<sim::Time>(rec.ts_sec) * sim::kSecond +
-                  static_cast<sim::Time>(rec.ts_usec) * sim::kMicrosecond;
-  out.orig_len = rec.orig_len;
-  out.data.resize(rec.incl_len);
-  in_.read(reinterpret_cast<char*>(out.data.data()), rec.incl_len);
-  if (!in_) {
-    fail("truncated record body (need " + std::to_string(rec.incl_len) +
-         " bytes, got " + std::to_string(in_.gcount()) + ")");
-  }
-  offset_ += rec.incl_len;
-  return out;
-}
-
 std::vector<PcapRecord> read_all(const std::string& path) {
-  PcapReader reader(path);
-  std::vector<PcapRecord> records;
-  while (auto r = reader.next()) records.push_back(std::move(*r));
-  return records;
+  PcapReadResult result = read_all_checked(path);
+  if (result.error) throw runtime::ParseException(std::move(*result.error));
+  return std::move(result.records);
 }
 
 PcapReadResult read_all_checked(const std::string& path) {
   PcapReadResult result;
   try {
-    PcapReader reader(path);
-    while (auto r = reader.next()) result.records.push_back(std::move(*r));
+    PcapCursor cursor(path, CursorMode::kStream);
+    while (const auto view = cursor.next()) {
+      result.records.push_back(
+          PcapRecord{view->timestamp, view->orig_len,
+                     {view->data.begin(), view->data.end()}});
+    }
   } catch (const runtime::ParseException& e) {
     result.error = e.error();
   }

@@ -19,6 +19,28 @@ namespace ccsig::pcap {
 inline constexpr std::uint32_t kPcapMagic = 0xa1b2c3d4;
 inline constexpr std::uint32_t kLinktypeEthernet = 1;
 
+// On-disk structures are little-endian; x86-64 is little-endian, so plain
+// memcpy of packed fields is byte-exact. (A big-endian port would need
+// byte swapping here and nowhere else.)
+struct FileHeader {
+  std::uint32_t magic;
+  std::uint16_t version_major;
+  std::uint16_t version_minor;
+  std::int32_t thiszone;
+  std::uint32_t sigfigs;
+  std::uint32_t snaplen;
+  std::uint32_t linktype;
+};
+static_assert(sizeof(FileHeader) == 24);
+
+struct RecordHeader {
+  std::uint32_t ts_sec;
+  std::uint32_t ts_usec;
+  std::uint32_t incl_len;
+  std::uint32_t orig_len;
+};
+static_assert(sizeof(RecordHeader) == 16);
+
 /// One captured record: timestamp, the bytes actually stored (possibly
 /// truncated at the snap length), and the original frame length.
 struct PcapRecord {
@@ -47,35 +69,9 @@ class PcapWriter {
   std::uint64_t records_ = 0;
 };
 
-/// Reads a whole pcap file. Malformed input raises runtime::ParseException
-/// carrying (file, byte offset, reason) — still a std::runtime_error, so
-/// legacy catch sites keep working, but callers that care can recover the
-/// structured runtime::ParseError.
-class PcapReader {
- public:
-  explicit PcapReader(const std::string& path);
-
-  /// Next record, or nullopt at end of file.
-  std::optional<PcapRecord> next();
-
-  std::uint32_t snaplen() const { return snaplen_; }
-  std::uint32_t linktype() const { return linktype_; }
-
-  /// Byte offset of the next unread position (for error reporting).
-  std::uint64_t offset() const { return offset_; }
-
- private:
-  [[noreturn]] void fail(std::string reason) const;
-
-  std::string path_;
-  std::ifstream in_;
-  std::uint32_t snaplen_ = 0;
-  std::uint32_t linktype_ = 0;
-  std::uint64_t offset_ = 0;
-};
-
-/// Convenience: reads every record. Throws runtime::ParseException on
-/// malformed input.
+/// Reads every record into its own PcapRecord, through PcapCursor's
+/// buffered backend (pcap/cursor.h; that cursor is the only pcap reader).
+/// Throws runtime::ParseException on malformed input.
 std::vector<PcapRecord> read_all(const std::string& path);
 
 /// Everything readable from a (possibly damaged) capture: the longest

@@ -3,22 +3,9 @@
 #include <cstring>
 
 #include "analysis/from_pcap.h"
+#include "pcap/pcap_file.h"
 
 namespace ccsig::stream {
-namespace {
-
-// Mirrors the (packed, little-endian) on-disk record header in
-// pcap_file.cc / cursor.cc. Host is little-endian on every platform the
-// project targets, so a memcpy is a correct decode.
-struct RecordHeader {
-  std::uint32_t ts_sec;
-  std::uint32_t ts_usec;
-  std::uint32_t incl_len;
-  std::uint32_t orig_len;
-};
-static_assert(sizeof(RecordHeader) == 16);
-
-}  // namespace
 
 BatchedIngest::BatchedIngest(const std::string& path, pcap::CursorMode mode,
                              bool tail)
@@ -44,8 +31,8 @@ std::size_t BatchedIngest::fill(std::vector<RoutedRecord>& out,
     std::uint64_t consumed_bytes = 0;
     std::uint64_t consumed_records = 0;
     while (appended < max_records) {
-      if (static_cast<std::size_t>(end - p) < sizeof(RecordHeader)) break;
-      RecordHeader rec;
+      if (static_cast<std::size_t>(end - p) < sizeof(pcap::RecordHeader)) break;
+      pcap::RecordHeader rec;
       std::memcpy(&rec, p, sizeof(rec));
       if (rec.incl_len > max_incl ||
           static_cast<std::size_t>(end - p) - sizeof(rec) < rec.incl_len) {

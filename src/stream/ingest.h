@@ -8,10 +8,10 @@
 // per record; the engine then routes and looks flows up with the
 // precomputed hash and never rehashes.
 //
-// Error semantics are exactly the cursor's (which are exactly
-// PcapReader's): on a damaged capture, fill() returns the records decoded
-// before the damage and records the structured ParseError — the clean
-// prefix is never lost to batching.
+// Error semantics are exactly the cursor's (pinned by
+// tests/goldens/pcap_errors.txt): on a damaged capture, fill() returns the
+// records decoded before the damage and records the structured ParseError
+// — the clean prefix is never lost to batching.
 #pragma once
 
 #include <cstdint>

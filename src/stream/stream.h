@@ -1,7 +1,8 @@
 // Single-pass, bounded-memory streaming flow analysis.
 //
-// The batch path reads the whole capture into memory, splits it into
-// flows, and analyzes each one — O(capture) memory. StreamEngine instead
+// The batch path decodes the whole capture into per-flow record vectors
+// before it analyzes any flow — O(capture) memory, one TraceRecord per
+// record (analysis::flows_from_pcap_checked). StreamEngine instead
 // pushes records through a sharded flow table of incremental FlowStates
 // and emits each flow's FlowReport the moment the flow ends (FIN handshake
 // completed, idle timeout, LRU pressure, or end of capture) — O(active

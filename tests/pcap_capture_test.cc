@@ -35,7 +35,8 @@ TEST_F(CaptureTest, TransferRoundTripsThroughPcap) {
   tap.flush();
   path.server->remove_tap(&tap);
 
-  const analysis::Trace from_pcap = analysis::trace_from_pcap(path_);
+  const analysis::Trace from_pcap =
+      analysis::trace_from_records(pcap::read_all(path_));
   const analysis::Trace& live = path.recorder.trace();
   ASSERT_EQ(from_pcap.size(), live.size());
   for (std::size_t i = 0; i < live.size(); ++i) {

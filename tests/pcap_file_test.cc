@@ -6,6 +6,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "pcap/cursor.h"
+
 namespace ccsig::pcap {
 namespace {
 
@@ -59,10 +61,10 @@ TEST_F(PcapFileTest, SnaplenTruncatesButKeepsOrigLen) {
 
 TEST_F(PcapFileTest, HeaderFieldsSurvive) {
   { PcapWriter writer(path_, 96); }
-  PcapReader reader(path_);
-  EXPECT_EQ(reader.snaplen(), 96u);
-  EXPECT_EQ(reader.linktype(), kLinktypeEthernet);
-  EXPECT_FALSE(reader.next().has_value());  // empty file
+  PcapCursor cursor(path_);
+  EXPECT_EQ(cursor.snaplen(), 96u);
+  EXPECT_EQ(cursor.linktype(), kLinktypeEthernet);
+  EXPECT_FALSE(cursor.next().has_value());  // empty file
 }
 
 TEST_F(PcapFileTest, MicrosecondPrecisionOnDisk) {
@@ -83,7 +85,7 @@ TEST_F(PcapFileTest, RejectsBadMagic) {
     const char junk[32] = "not a pcap file at all";
     out.write(junk, sizeof(junk));
   }
-  EXPECT_THROW(PcapReader reader(path_), std::runtime_error);
+  EXPECT_THROW(PcapCursor cursor(path_), std::runtime_error);
 }
 
 TEST_F(PcapFileTest, RejectsTruncatedRecord) {
@@ -95,12 +97,12 @@ TEST_F(PcapFileTest, RejectsTruncatedRecord) {
   // Chop the last 2 bytes off.
   const auto size = std::filesystem::file_size(path_);
   std::filesystem::resize_file(path_, size - 2);
-  PcapReader reader(path_);
-  EXPECT_THROW((void)reader.next(), std::runtime_error);
+  PcapCursor cursor(path_);
+  EXPECT_THROW((void)cursor.next(), std::runtime_error);
 }
 
 TEST_F(PcapFileTest, MissingFileThrows) {
-  EXPECT_THROW(PcapReader reader("/nonexistent/dir/x.pcap"),
+  EXPECT_THROW(PcapCursor cursor("/nonexistent/dir/x.pcap"),
                std::runtime_error);
   EXPECT_THROW(PcapWriter writer("/nonexistent/dir/x.pcap"),
                std::runtime_error);

@@ -21,6 +21,8 @@ set(tests
   tcp_vegas_test
   tcp_westwood_test
   ingest_corpus_test
+  pcap_error_golden_test
+  analysis_flows_from_pcap_test
   core_insufficient_test
   campaign_resume_test
   ml_presort_equivalence_test

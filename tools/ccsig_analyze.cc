@@ -159,8 +159,8 @@ int main(int argc, char** argv) {
       // Decoded separately from the analyzer pass: the reports keep only
       // features, while telemetry wants the raw per-ACK RTT series.
       ccsig::obs::TraceSpan span("analyze.flow_telemetry", "analyze");
-      const auto decoded = ccsig::analysis::trace_from_pcap_checked(pcap_path);
-      const auto flows = ccsig::analysis::split_flows(decoded.trace);
+      const auto flows =
+          ccsig::analysis::flows_from_pcap_checked(pcap_path).flows;
       ccsig::runtime::write_file_atomic(telemetry_path,
                                         rtt_telemetry_csv(flows));
       std::fprintf(stderr, "flow telemetry written to %s (%zu flows)\n",
