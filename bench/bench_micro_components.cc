@@ -13,7 +13,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <memory>
 #include <new>
+#include <vector>
 
 #include "analysis/flow_trace.h"
 #include "analysis/rtt_estimator.h"
@@ -209,6 +211,79 @@ void BM_TcpSteadyStateAllocs(benchmark::State& state) {
   state.counters["steady_segments"] = static_cast<double>(segments);
 }
 BENCHMARK(BM_TcpSteadyStateAllocs);
+
+// Steady-state allocation probe under SACK churn, in the shape of the
+// testbed's TGcong cross traffic: 20 Reno flows share a 1 Gbit/s
+// bottleneck with a 50 ms buffer, so the buffer overflows every few
+// hundred milliseconds and some flow is usually in SACK recovery. By 3 s
+// the slow-start overshoot and its recovery have sized every scoreboard,
+// out-of-order stash, link ring and event arena; from there to 6 s the
+// simulator must not touch the heap (`steady_allocs` is asserted == 0).
+// `steady_retransmits` shows the window really was in recovery.
+//
+// The probe opens and closes on events inside one run rather than around
+// a run_until() call: a run's deadline parks every timer re-arm due past
+// it in the simulator's late-ghost heap (one entry per RTO re-arm in the
+// last RTO, ~16k at this ACK rate), which is run-boundary bookkeeping,
+// not per-packet cost.
+void BM_TcpSackChurn(benchmark::State& state) {
+  constexpr int kFlows = 20;
+  std::uint64_t allocs = 0;
+  std::uint64_t retransmits = 0;
+  std::uint64_t segments = 0;
+  for (auto _ : state) {
+    sim::Network net(1);
+    sim::Node* server = net.add_node("s");
+    sim::Node* client = net.add_node("c");
+    sim::Link::Config link;
+    link.rate_bps = 1e9;
+    link.prop_delay = 5 * sim::kMillisecond;
+    link.buffer_bytes = sim::buffer_bytes_for(1e9, 50);
+    net.connect(server, client, link);
+    std::vector<std::unique_ptr<tcp::TcpSink>> sinks;
+    std::vector<std::unique_ptr<tcp::TcpSource>> sources;
+    for (int i = 0; i < kFlows; ++i) {
+      const sim::FlowKey key{server->address(), client->address(),
+                             static_cast<sim::Port>(1000 + i),
+                             static_cast<sim::Port>(2000 + i)};
+      tcp::TcpSink::Config sk;
+      sk.data_key = key;
+      sinks.push_back(std::make_unique<tcp::TcpSink>(net.sim(), client, sk));
+      tcp::TcpSource::Config sc;
+      sc.key = key;
+      sc.congestion_control = "reno";
+      sources.push_back(
+          std::make_unique<tcp::TcpSource>(net.sim(), server, sc));
+      // Staggered starts, one millisecond apart.
+      tcp::TcpSource* src = sources.back().get();
+      net.sim().schedule_at(i * sim::kMillisecond, [src] { src->start(); });
+    }
+    // Heap allocations, retransmits and data segments so far.
+    struct Tally {
+      std::uint64_t allocs = 0, retransmits = 0, segments = 0;
+    };
+    const auto tally = [&] {
+      Tally t{heap_allocs(), 0, 0};
+      for (const auto& src : sources) {
+        t.retransmits += src->stats().retransmits;
+        t.segments += src->stats().segments_sent;
+      }
+      return t;
+    };
+    Tally open;
+    Tally close;
+    net.sim().schedule_at(sim::from_seconds(3), [&] { open = tally(); });
+    net.sim().schedule_at(sim::from_seconds(6), [&] { close = tally(); });
+    net.sim().run_until(sim::from_seconds(7));
+    allocs += close.allocs - open.allocs;
+    retransmits += close.retransmits - open.retransmits;
+    segments += close.segments - open.segments;
+  }
+  state.counters["steady_allocs"] = static_cast<double>(allocs);
+  state.counters["steady_retransmits"] = static_cast<double>(retransmits);
+  state.counters["steady_segments"] = static_cast<double>(segments);
+}
+BENCHMARK(BM_TcpSackChurn)->Unit(benchmark::kMillisecond);
 
 analysis::FlowTrace synthetic_flow(int n) {
   analysis::FlowTrace flow;

@@ -39,7 +39,6 @@ Link::Link(Simulator& sim, Config cfg, Rng rng)
     : sim_(sim),
       cfg_(std::move(cfg)),
       rng_(rng),
-      queue_(cfg_.buffer_bytes),
       tokens_bytes_(static_cast<double>(cfg_.burst_bytes)) {}
 
 void Link::send(const Packet& p) {
@@ -50,10 +49,15 @@ void Link::send(const Packet& p) {
     link_metrics().random_losses.inc();
     return;
   }
-  if (!queue_.push(p)) {  // drop-tail
+  const std::size_t wire = p.wire_bytes();
+  if (queue_bytes_ + wire > cfg_.buffer_bytes) {  // drop-tail
+    ++buffer_drops_;
     link_metrics().tail_drops.inc();
     return;
   }
+  queue_bytes_ += wire;
+  max_queue_bytes_ = std::max(max_queue_bytes_, queue_bytes_);
+  ring_.push().packet = p;
   pump();
 }
 
@@ -81,8 +85,8 @@ Duration Link::time_until_tokens(std::size_t bytes) const {
 
 void Link::pump() {
   if (pump_scheduled_) return;
-  while (!queue_.empty()) {
-    const std::size_t need = queue_.front().wire_bytes();
+  while (ring_.size() > in_flight_) {
+    const std::size_t need = ring_[in_flight_].packet.wire_bytes();
     refill_tokens(need);
     const Duration wait = time_until_tokens(need);
     if (wait > 0) {
@@ -94,11 +98,13 @@ void Link::pump() {
       return;
     }
     tokens_bytes_ -= static_cast<double>(need);
-    deliver(queue_.pop());
+    deliver();
   }
 }
 
-void Link::deliver(Packet p) {
+void Link::deliver() {
+  Slot& slot = ring_[in_flight_];
+  const std::size_t wire = slot.packet.wire_bytes();
   Duration delay = cfg_.prop_delay;
   if (cfg_.jitter > 0) {
     delay += static_cast<Duration>(rng_.uniform(
@@ -111,43 +117,44 @@ void Link::deliver(Packet p) {
   if (due < last_delivery_time_) due = last_delivery_time_;
   last_delivery_time_ = due;
 
+  queue_bytes_ -= wire;
   ++delivered_packets_;
-  delivered_bytes_ += p.wire_bytes();
+  delivered_bytes_ += wire;
   LinkMetrics& m = link_metrics();
   m.packets_delivered.inc();
-  m.bytes_delivered.add(p.wire_bytes());
+  m.bytes_delivered.add(wire);
   // Deliveries are FIFO (due times are clamped monotone above, and keys
   // reserved later order later at equal times), so the packet and its
-  // reserved key wait in the link's pooled in-flight ring and only the
-  // front's delivery is queued: the event queue holds one delivery per
-  // link, not one per packet in flight. Each delivery still runs under the
-  // key it reserved here, so it keeps its place among other events.
-  const EventKey key = sim_.reserve_at(due);
-  const bool was_empty = in_flight_.empty();
-  in_flight_.push(InFlight{p, key});
-  if (was_empty) sim_.schedule_reserved(key, [this] { deliver_due(); });
+  // reserved key wait in the link's ring and only the front's delivery is
+  // queued: the event queue holds one delivery per link, not one per
+  // packet in flight. Each delivery still runs under the key it reserved
+  // here, so it keeps its place among other events.
+  slot.due = sim_.reserve_at(due);
+  if (++in_flight_ == 1) {
+    sim_.schedule_reserved(slot.due, [this] { deliver_due(); });
+  }
 }
 
 void Link::deliver_due() {
   // Copy out before invoking the receiver: the callback can re-enter this
   // link (a routing loop) and grow the ring under a live reference.
-  const Packet p = in_flight_.pop().packet;
-  if (!in_flight_.empty()) {
-    sim_.schedule_reserved(in_flight_.front().due, [this] { deliver_due(); });
+  const Packet p = ring_.front().packet;
+  ring_.pop();
+  if (--in_flight_ > 0) {
+    sim_.schedule_reserved(ring_.front().due, [this] { deliver_due(); });
   }
   if (receiver_) receiver_(p);
 }
 
 Duration Link::queueing_delay_estimate() const {
-  return static_cast<Duration>(static_cast<double>(queue_.occupancy_bytes()) *
+  return static_cast<Duration>(static_cast<double>(queue_bytes_) *
                                8.0 / cfg_.rate_bps *
                                static_cast<double>(kSecond));
 }
 
 Link::Stats Link::stats() const {
-  return Stats{arrived_packets_,        delivered_packets_, delivered_bytes_,
-               random_losses_,          queue_.drops(),
-               queue_.max_occupancy_bytes()};
+  return Stats{arrived_packets_, delivered_packets_, delivered_bytes_,
+               random_losses_,   buffer_drops_,      max_queue_bytes_};
 }
 
 }  // namespace ccsig::sim

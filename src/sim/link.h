@@ -1,14 +1,16 @@
 // Unidirectional shaped link: token-bucket rate shaping (like `tc tbf`),
-// drop-tail buffer, propagation delay, jitter, and i.i.d. random loss
-// (like `tc netem`). A full-duplex physical link is two `Link`s.
+// byte-limited drop-tail buffer, propagation delay, jitter, and i.i.d.
+// random loss (like `tc netem`). A full-duplex physical link is two `Link`s.
+// The buffer's capacity is in bytes because the paper sizes buffers in
+// milliseconds at the link rate and we convert.
 #pragma once
 
 #include <cstdint>
 #include <string>
 
 #include "sim/packet.h"
-#include "sim/queue.h"
 #include "sim/random.h"
+#include "sim/ring.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -47,8 +49,9 @@ class Link {
   /// Entry point: a packet arrives at the head of the link.
   void send(const Packet& p);
 
-  /// Instantaneous queue occupancy in bytes (for tests/instrumentation).
-  std::size_t queue_bytes() const { return queue_.occupancy_bytes(); }
+  /// Instantaneous queue occupancy in bytes: packets accepted but not yet
+  /// departed (for tests/instrumentation).
+  std::size_t queue_bytes() const { return queue_bytes_; }
 
   /// Expected queueing delay of a packet entering now, in nanoseconds.
   Duration queueing_delay_estimate() const;
@@ -56,9 +59,9 @@ class Link {
   Stats stats() const;
   const Config& config() const { return cfg_; }
 
-  /// Slot-pool size of the in-flight ring (tests assert it stops growing
-  /// in steady state).
-  std::size_t in_flight_capacity() const { return in_flight_.slot_capacity(); }
+  /// Slot-pool size of the packet ring, queued and in flight together
+  /// (tests assert it stops growing in steady state).
+  std::size_t ring_capacity() const { return ring_.slot_capacity(); }
 
  private:
   void pump();  // tries to transmit the head-of-line packet
@@ -66,16 +69,16 @@ class Link {
   // head-of-line packet can eventually depart.
   void refill_tokens(std::size_t cap_floor);
   Duration time_until_tokens(std::size_t bytes) const;
-  // Applies propagation delay + jitter, FIFO. Takes the packet by value:
-  // the argument is the queue's popped slot and Packet copies are memcpys.
-  void deliver(Packet p);
+  // Departs the head-of-line queued packet: applies propagation delay +
+  // jitter, FIFO, and stamps its slot with the reserved delivery key.
+  void deliver();
   // Fires when the oldest in-flight packet reaches the far end, and queues
   // the next packet's delivery.
   void deliver_due();
 
-  // A packet between departure and delivery, with the event key its
-  // delivery reserved on departure.
-  struct InFlight {
+  // One packet from arrival to delivery. `due` is the event key its
+  // delivery reserved on departure (unset while it is still queued).
+  struct Slot {
     Packet packet;
     EventKey due;
   };
@@ -83,9 +86,15 @@ class Link {
   Simulator& sim_;
   Config cfg_;
   Rng rng_;
-  DropTailQueue queue_;
-  Ring<InFlight> in_flight_;  // only the front's delivery is queued
+  // Every accepted packet, oldest first: the first in_flight_ slots have
+  // departed and wait for delivery (only the front's delivery is queued);
+  // the rest is the drop-tail queue, whose bytes queue_bytes_ counts.
+  Ring<Slot> ring_;
+  std::size_t in_flight_ = 0;
   PacketHandler receiver_;
+
+  std::size_t queue_bytes_ = 0;
+  std::size_t max_queue_bytes_ = 0;
 
   double tokens_bytes_ = 0;    // current token-bucket fill
   Time last_refill_ = 0;
@@ -96,6 +105,7 @@ class Link {
   std::uint64_t delivered_packets_ = 0;
   std::uint64_t delivered_bytes_ = 0;
   std::uint64_t random_losses_ = 0;
+  std::uint64_t buffer_drops_ = 0;
 };
 
 }  // namespace ccsig::sim

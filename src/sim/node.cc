@@ -7,7 +7,10 @@ namespace ccsig::sim {
 Node::Node(Simulator& sim, Address address, std::string name)
     : sim_(sim), address_(address), name_(std::move(name)) {}
 
-void Node::add_route(Address dst, Link* out) { routes_[dst] = out; }
+void Node::add_route(Address dst, Link* out) {
+  if (dst >= routes_.size()) routes_.resize(std::size_t{dst} + 1, nullptr);
+  routes_[dst] = out;
+}
 
 void Node::register_endpoint(Port port, PacketHandler handler) {
   endpoints_[port] = std::move(handler);
@@ -53,8 +56,9 @@ void Node::send(Packet p) {
 }
 
 void Node::forward(const Packet& p) {
-  auto it = routes_.find(p.key.dst_addr);
-  Link* out = it != routes_.end() ? it->second : default_route_;
+  const Address dst = p.key.dst_addr;
+  Link* out = dst < routes_.size() && routes_[dst] != nullptr ? routes_[dst]
+                                                              : default_route_;
   if (out == nullptr) {
     ++undeliverable_;
     return;

@@ -24,7 +24,8 @@ class Node {
   const std::string& name() const { return name_; }
 
   /// Routes packets destined to `dst` out of `out`. `out` must outlive the
-  /// node.
+  /// node. Addresses are small and dense (Network hands them out from 1),
+  /// so the route table is a vector indexed by address.
   void add_route(Address dst, Link* out);
 
   /// Fallback route for destinations without an explicit entry.
@@ -60,7 +61,7 @@ class Node {
   Simulator& sim_;
   Address address_;
   std::string name_;
-  std::unordered_map<Address, Link*> routes_;
+  std::vector<Link*> routes_;  // by destination address; null = no route
   Link* default_route_ = nullptr;
   std::unordered_map<Port, PacketHandler> endpoints_;
   std::vector<TraceSink*> taps_;

@@ -38,9 +38,9 @@
 //
 // Memory: O(in-flight segments + slow-start RTT samples) per flow. The
 // outstanding window holds at most max(2 * peak in-flight, 16) entries:
-// an ACK that drains it clears it in place, a consumed prefix of at least
-// 32 entries and half the vector is erased, and a full vector regrows from
-// its live entries only (analysis/outstanding_window.h). Once the first
+// an ACK that drains it clears it in place, and a full vector drops its
+// consumed prefix in place or regrows from its live entries only
+// (sim/fifo_vector.h). Once the first
 // slow-start period closes and the sampler passes its cutoff, every
 // per-record structure is freed and further records touch only scalar
 // counters — the bench_stream_ingest allocs_per_packet=0 bound.

@@ -59,22 +59,22 @@ void TcpSink::on_data(const sim::Packet& p) {
     // A hole precedes this segment: stash it and emit an immediate
     // duplicate ACK (RFC 5681 §3.2).
     ++stats_.out_of_order_segments;
-    auto [it, inserted] = ooo_pool_.insert(ooo_, p.seq, seg_end);
-    if (!inserted && seg_end > it->second) it->second = seg_end;
+    stash(p.seq, seg_end);
     send_ack();
     return;
   }
   // In-order (possibly overlapping) delivery.
   stats_.bytes_received += seg_end - rcv_nxt_;
   rcv_nxt_ = seg_end;
-  // Absorb any out-of-order runs this unlocked.
-  for (auto it = ooo_.begin(); it != ooo_.end() && it->first <= rcv_nxt_;) {
-    if (it->second > rcv_nxt_) {
-      stats_.bytes_received += it->second - rcv_nxt_;
-      rcv_nxt_ = it->second;
+  // Absorb any out-of-order segments this unlocked.
+  auto it = ooo_.begin();
+  for (; it != ooo_.end() && it->start <= rcv_nxt_; ++it) {
+    if (it->end > rcv_nxt_) {
+      stats_.bytes_received += it->end - rcv_nxt_;
+      rcv_nxt_ = it->end;
     }
-    it = ooo_pool_.erase(ooo_, it);
   }
+  ooo_.retire_before(it);
 
   if (!ooo_.empty()) {
     // Filling part of a hole: ACK immediately to speed recovery.
@@ -93,6 +93,17 @@ void TcpSink::on_data(const sim::Packet& p) {
   }
 }
 
+void TcpSink::stash(std::uint64_t start, std::uint64_t end) {
+  const auto it = std::lower_bound(
+      ooo_.begin(), ooo_.end(), start,
+      [](const OooSegment& s, std::uint64_t v) { return s.start < v; });
+  if (it == ooo_.end() || it->start != start) {
+    ooo_.insert(it, OooSegment{start, end});
+  } else if (end > it->end) {
+    it->end = end;
+  }
+}
+
 void TcpSink::send_ack() {
   unacked_segments_ = 0;
   delayed_ack_timer_.cancel();
@@ -105,9 +116,10 @@ void TcpSink::send_ack() {
     // Up to 3 SACK blocks, newest-touched range first (RFC 2018). The
     // newest range is the one containing the most recently arrived data;
     // report the highest ranges, which is where recent arrivals live.
-    for (auto it = ooo_.rbegin();
-         it != ooo_.rend() && !ack.sack_blocks.full(); ++it) {
-      ack.sack_blocks.push_back(it->first, it->second);
+    for (auto it = ooo_.end();
+         it != ooo_.begin() && !ack.sack_blocks.full();) {
+      --it;
+      ack.sack_blocks.push_back(it->start, it->end);
     }
   }
   ack.window = static_cast<std::uint32_t>(

@@ -6,13 +6,12 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 
+#include "sim/fifo_vector.h"
 #include "sim/node.h"
 #include "sim/packet.h"
 #include "sim/simulator.h"
 #include "sim/timer.h"
-#include "tcp/node_pool.h"
 #include "tcp/tcp_types.h"
 
 namespace ccsig::tcp {
@@ -57,6 +56,8 @@ class TcpSink {
  private:
   void on_packet(const sim::Packet& p);
   void on_data(const sim::Packet& p);
+  // Stashes the out-of-order segment [start, end).
+  void stash(std::uint64_t start, std::uint64_t end);
   void send_ack();
 
   sim::Simulator& sim_;
@@ -64,11 +65,16 @@ class TcpSink {
   Config cfg_;
   sim::Timer delayed_ack_timer_;  // flushes a pending delayed ACK
 
-  using OooMap = std::map<std::uint64_t, std::uint64_t>;
+  // One stashed out-of-order segment. Segments are kept as they arrived,
+  // one entry per distinct start (a repeat keeps the longer end), not
+  // merged into runs: SACK blocks report the highest entries.
+  struct OooSegment {
+    std::uint64_t start;
+    std::uint64_t end;  // exclusive
+  };
 
-  std::uint64_t rcv_nxt_ = 0;  // next expected wire sequence
-  OooMap ooo_;                 // seq -> end (exclusive)
-  MapNodePool<OooMap> ooo_pool_;  // recycles out-of-order map nodes
+  std::uint64_t rcv_nxt_ = 0;        // next expected wire sequence
+  sim::FifoVector<OooSegment> ooo_;  // sorted by start
   int unacked_segments_ = 0;
   int quickack_sent_ = 0;
 

@@ -18,6 +18,7 @@ set(tests
   runtime_fault_injection_test
   runtime_supervised_test
   tcp_cc_conformance_test
+  tcp_scoreboard_flat_test
   tcp_vegas_test
   tcp_westwood_test
   ingest_corpus_test

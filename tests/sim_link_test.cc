@@ -103,7 +103,9 @@ TEST(Link, JitterBoundedAndFifo) {
   for (std::size_t i = 0; i < deliveries.size(); ++i) {
     // FIFO despite jitter.
     EXPECT_EQ(deliveries[i].second, i);
-    if (i > 0) EXPECT_GE(deliveries[i].first, deliveries[i - 1].first);
+    if (i > 0) {
+      EXPECT_GE(deliveries[i].first, deliveries[i - 1].first);
+    }
   }
 }
 
@@ -293,11 +295,11 @@ TEST(LinkDeliveryOrder, InFlightRingStopsGrowingInSteadyState) {
   };
   sim.schedule_at(0, source);
   sim.run_until(500 * kMillisecond);
-  const std::size_t warm = link.in_flight_capacity();
+  const std::size_t warm = link.ring_capacity();
   sim.run();
   EXPECT_EQ(delivered, 2000u);
   EXPECT_GT(warm, 0u);
-  EXPECT_EQ(link.in_flight_capacity(), warm);
+  EXPECT_EQ(link.ring_capacity(), warm);
   // ~20 packets are in flight at once, yet the queue holds only the
   // source's next send, the link's front delivery and its pump.
   EXPECT_LE(sim.queue_peak(), 3u);

@@ -128,8 +128,12 @@ TEST(StreamFlowTable, EvictionPrefersSlowStartClosedFlows) {
   ASSERT_EQ(reports.size(), 3u);
   // `young` survived to end-of-capture with all its packets intact.
   for (const auto& r : reports) {
-    if (r.data_key == young) EXPECT_EQ(r.data_packets, 1u);
-    if (r.data_key == done) EXPECT_EQ(r.data_packets, 3u);
+    if (r.data_key == young) {
+      EXPECT_EQ(r.data_packets, 1u);
+    }
+    if (r.data_key == done) {
+      EXPECT_EQ(r.data_packets, 3u);
+    }
   }
 }
 

@@ -41,6 +41,11 @@ COUNTER_BOUNDS = {
         "steady_allocs": 0.0,
         "peak_queue_depth": 2 * 2 + 4,
     },
+    # 20 Reno flows through a shared 1 Gbit/s, 50 ms-buffer bottleneck
+    # (the TGcong shape): once warm, SACK recovery, the flat scoreboards,
+    # the sinks' out-of-order stashes and the link rings reuse their
+    # storage — a hard zero.
+    "BM_TcpSackChurn": {"steady_allocs": 0.0},
     "BM_PcapEncodeDecode": {"allocs_per_frame": 0.0},
     # ccsigd's verdict-log append (frame + CRC + one write) reuses one
     # buffer after the warm-up append — a hard zero.
